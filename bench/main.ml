@@ -327,7 +327,7 @@ let e7 () =
           ]
       in
       show "sequential" seq;
-      show "time-warp" (Phold.run_timewarp p);
+      show "time-warp" (fst (Phold.run_timewarp p));
       let obs = recorder () in
       let hope = Phold.run_hope ~obs p in
       show ~cost:(speculation_cost obs) "hope" hope)
@@ -612,7 +612,7 @@ let micro () =
         fun () ->
           ignore
             (Phold.run_timewarp { Phold.default_params with horizon = 3.0 }
-              : Phold.outcome) );
+              : Phold.outcome * _) );
       ( "e8:replication-2x10",
         fun () ->
           ignore
@@ -739,7 +739,6 @@ let events () =
      fixed pending-set depth; the old heap allocates a node per push and \
      an option per pop, the new queue stores priorities in a bare float \
      array and pops allocation-free; gate: >=1.5x throughput at depth 4096";
-  let module Heap = Hope_sim.Heap in
   let module Equeue = Hope_sim.Equeue in
   Gc.compact ();
   (* Deterministic quasi-random reschedule delays; both sides draw the

@@ -579,8 +579,9 @@ let phold_cmd =
           `Tw
       & info [ "engine" ]
           ~doc:
-            "sequential, timewarp, hope, or parallel (sharded Time Warp \
-             across OCaml 5 domains; see --domains).")
+            "sequential, timewarp (Time Warp on a simulated wire, one host \
+             per LP), hope, or parallel (the same Time Warp core across \
+             OCaml 5 domains; see --domains).")
   in
   let lps_arg = Arg.(value & opt int 4 & info [ "lps" ] ~doc:"Logical processes.") in
   let jobs_arg = Arg.(value & opt int 8 & info [ "jobs" ] ~doc:"Job population.") in
@@ -637,10 +638,9 @@ let phold_cmd =
     let supported =
       match engine with
       | `Seq -> []
-      | `Tw -> [ "--trace" ]
       | `Hope ->
         [ "--trace"; "--metrics"; "--watch"; "--health"; "--check"; "--governor" ]
-      | `Par -> [ "--trace"; "--metrics"; "--watch"; "--health" ]
+      | `Tw | `Par -> [ "--trace"; "--metrics"; "--watch"; "--health" ]
     in
     (match List.filter (fun f -> not (List.mem f supported)) requested with
     | [] -> ()
@@ -648,21 +648,22 @@ let phold_cmd =
       Printf.eprintf
         "hope-sim: %s is not supported with --engine %s\n\
          supported combinations:\n\
-        \  --trace                      timewarp, hope, parallel\n\
-        \  --metrics --watch --health   hope, parallel\n\
-        \  --check --governor           hope\n"
+        \  --trace --metrics --watch --health   timewarp, hope, parallel\n\
+        \  --check --governor                   hope\n"
         (String.concat " " bad) engine_name;
       exit 1);
     let o =
       with_obs opts (fun ~obs ~tele ~on_setup ->
           match engine with
           | `Seq -> Phold.run_sequential p
-          | `Tw -> Phold.run_timewarp ~seed ~obs p
           | `Hope -> Phold.run_hope ~seed ~obs ~on_setup p
-          | `Par ->
-            let o, r = Phold.run_parallel ~domains ~seed ~grain p in
+          | (`Tw | `Par) as e ->
+            let o, r =
+              if e = `Tw then Phold.run_timewarp ~seed p
+              else Phold.run_parallel ~domains ~seed ~grain p
+            in
             (* the deterministic merged trace: commit records in their
-               domain-count-independent order *)
+               transport- and domain-count-independent order *)
             if Hope_obs.Recorder.enabled obs then
               Hope_shard.Shard.merge_into obs r;
             (* the per-run (non-deterministic) side: per-shard labeled

@@ -22,7 +22,7 @@ let () =
     "PHOLD: %d LPs, %d jobs, %.0f%% remote hops, horizon %.0f virtual seconds\n\n"
     p.P.n_lps p.P.jobs (100.0 *. p.P.remote_prob) p.P.horizon;
   let seq = P.run_sequential p in
-  let tw = P.run_timewarp p in
+  let tw, _ = P.run_timewarp p in
   let hope = P.run_hope p in
   show "sequential" seq;
   show "time-warp" tw;

@@ -99,7 +99,7 @@ module Trace = Hope_sim.Trace
 
 module Rpc = Hope_rpc.Rpc
 module Call_streaming = Hope_rpc.Call_streaming
-module Timewarp = Hope_timewarp.Timewarp
+module Shard = Hope_shard.Shard
 module Governor = Hope_gov.Governor
 module Gov_policy = Hope_gov.Policy
 module Adversary = Hope_gov.Adversary

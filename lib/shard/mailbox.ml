@@ -61,8 +61,11 @@ let try_push t x =
     true
   end
 
-let push t x ~while_waiting =
+exception Closed
+
+let push t x ~poison ~while_waiting =
   while not (try_push t x) do
+    if Atomic.get poison then raise Closed;
     while_waiting ();
     Domain.cpu_relax ()
   done

@@ -6,9 +6,9 @@
     OCaml 5 memory model's release/acquire pairing on [Atomic] cursor
     updates publishes slot writes without locks. FIFO per pair is the
     load-bearing property — an anti-message pushed after its positive
-    can never overtake it, which is what lets the shard runtime
-    annihilate pending positives with a tombstone table instead of a
-    poisoned-id set. *)
+    can never overtake it, so the Time Warp core always finds the
+    positive already queued and annihilates it with a tombstone. The
+    core's simulated wire keeps the same per-pair FIFO order. *)
 
 type 'a t
 
@@ -33,11 +33,15 @@ val is_empty : 'a t -> bool
 val try_push : 'a t -> 'a -> bool
 (** Producer only. [false] iff the ring is full. *)
 
-val push : 'a t -> 'a -> while_waiting:(unit -> unit) -> unit
+exception Closed
+
+val push : 'a t -> 'a -> poison:bool Atomic.t -> while_waiting:(unit -> unit) -> unit
 (** Producer only. Spins until space frees, calling [while_waiting]
     between attempts — the shard runtime uses it to unload its own
     inbound rings, which breaks the two-shards-pushing-into-each-other
-    deadlock. *)
+    deadlock.
+    @raise Closed if the ring is full and [poison] is set: the consumer
+    may be dead, so waiting could last forever. *)
 
 val pop : 'a t -> 'a option
 (** Consumer only. *)

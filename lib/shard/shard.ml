@@ -1,27 +1,34 @@
-(* Sharded Time Warp executor across OCaml 5 domains.
+(* The Time Warp core (Jefferson, "Virtual Time", TOPLAS 1985 — the
+   paper's reference [14]), with two transports.
 
-   The paper's thesis — speculation as the parallelization strategy —
-   applied to our own executor: the LP space is partitioned across
-   domains by the fixed assignment [lp mod shards] (Context.owner), each
-   shard runs its partition optimistically against local virtual time,
-   and cross-shard deliveries ride lock-free SPSC rings (Mailbox). A
+   The LP space is partitioned into shards by the fixed assignment
+   [lp mod shards] (Context.owner). Each shard runs its partition
+   optimistically against local virtual time from one pending queue. A
    delivery below the destination LP's LVT is a straggler: the shard
    rolls that LP back locally (state restore + input requeue +
-   anti-messages for its sends), exactly Jefferson's protocol, with no
-   barrier and no global coordination on the hot path.
+   anti-messages for its sends). GVT commits and fossil-collects.
+   Everything in this file up to the transports is shared.
 
-   Commitment is by GVT. Every shard publishes a conservative
-   lower bound ("floor") on the virtual time of anything it may still
-   send; per-directed-pair cumulative sent/recvd counters account for
-   messages in flight. Shard 0 doubles as the GVT coordinator (no
-   dedicated domain burning a core): it reads all counters, then all
-   floors, then the counters again — if the counters are pairwise equal
-   (nothing in flight) and unchanged across the reads, min(floors) is a
-   valid GVT. Entries below GVT fossil-collect into per-shard commit
-   lists; GVT = +inf with stable counters means global quiescence and
-   stops the run.
+   Transports. A shard reaches another shard through its [send]
+   closure; both transports are FIFO per directed shard pair, which is
+   what lets an anti-message annihilate a pending positive by tombstone.
+   - Rings ([run]): one shard per OCaml domain, lock-free SPSC
+     Mailbox rings between them, shard 0 doubling as GVT coordinator.
+   - Wire ([simulate]): one shard per LP, each its own host on the
+     caller's simulation engine — a delivery takes one latency sample,
+     an event costs [event_cost] of simulated time, an arrival below the
+     busy event preempts it, and GVT is the minimum over in-flight and
+     pending messages every [gvt_interval]. This is experiment E7's
+     simulated-physical Time Warp.
 
-   Soundness of the floor protocol (the part worth stating precisely):
+   Ring GVT: every shard publishes a conservative lower bound ("floor")
+   on the virtual time of anything it may still send; per-directed-pair
+   cumulative sent/recvd counters account for messages in flight. The
+   coordinator reads all counters, then all floors, then the counters
+   again — if the counters are pairwise equal (nothing in flight) and
+   unchanged across the reads, min(floors) is a valid GVT; GVT = +inf
+   with stable counters means global quiescence and stops the run.
+   Soundness of the floor protocol:
    - a shard publishes its floor at the top of its loop, BEFORE popping
      the minimum pending message, so the floor covers the event it is
      about to execute; model outputs have recv_ts > input ts >= floor;
@@ -33,22 +40,31 @@
      only entries with recv_ts >= the arrival's recv_ts, so the lowered
      floor covers those too.
 
-   Determinism: with the fixed assignment and per-shard Context RNG
-   streams, Time Warp commits exactly the sequential event set — the
-   merged trace sorts commit records by a key (recv_ts, dst_lp,
-   send_ts, src_lp, payload digest) that is independent of the domain
-   count, so the chrome trace is byte-identical at 1, 2, or 4 domains
-   (pinned in CI). *)
+   Failure: the first shard whose loop raises records a typed
+   [Shard_failure] and sets the fabric's stop flag, which every shard
+   loop and every blocked ring push polls; [run] joins every domain
+   before re-raising it.
+
+   Determinism: Time Warp commits exactly the sequential event set, so
+   the merged trace sorts commit records by a key (recv_ts, dst_lp,
+   send_ts, src_lp, payload digest) that is independent of the
+   transport and the domain count (pinned in CI). *)
 
 module Engine = Hope_sim.Engine
 module Equeue = Hope_sim.Equeue
 module Context = Hope_sim.Context
 module Metrics = Hope_sim.Metrics
+module Rng = Hope_sim.Rng
+module Latency = Hope_net.Latency
 module Recorder = Hope_obs.Recorder
 module Event = Hope_obs.Event
 module Monitor = Hope_obs.Monitor
 module Proc_id = Hope_types.Proc_id
-module Timewarp = Hope_timewarp.Timewarp
+
+type ('s, 'p) model = {
+  init : int -> 's;
+  handle : lp:int -> ts:float -> 's -> 'p -> 's * (int * float * 'p) list;
+}
 
 type 'p message = {
   mid : int;  (* globally unique: shard_id + k * shards *)
@@ -93,7 +109,7 @@ let commit_compare a b =
         if c <> 0 then c else compare a.c_digest b.c_digest
 
 type ('s, 'p) spec = {
-  model : ('s, 'p) Timewarp.model;
+  model : ('s, 'p) model;
   n_lps : int;
   horizon : float;
   seeds : (int * float * 'p) list;
@@ -106,6 +122,7 @@ type 's result = {
   commits : commit array;
   processed : int;
   committed : int;
+  messages : int;
   rollbacks : int;
   rolled_back : int;
   stragglers : int;
@@ -121,6 +138,16 @@ type 's result = {
   wasted_by_root : (provenance * int) list;
 }
 
+exception Shard_failure of { shard : int; lp : int; exn : exn }
+
+let () =
+  Printexc.register_printer (function
+    | Shard_failure { shard; lp; exn } ->
+        Some
+          (Printf.sprintf "Shard_failure(shard %d, lp %d): %s" shard lp
+             (Printexc.to_string exn))
+    | _ -> None)
+
 (* ---------------------------------------------------------------- *)
 (* Shared fabric: everything the domains touch concurrently.         *)
 
@@ -133,12 +160,13 @@ let ns_of ts =
 
 type 'p fabric = {
   shards : int;
-  rings : 'p message Mailbox.t array;  (* rings.(src * shards + dst) *)
+  rings : 'p message Mailbox.t array;  (* rings.(src * shards + dst); [||] on the wire *)
   sent : int Atomic.t array;  (* cumulative, per directed pair *)
   recvd : int Atomic.t array;
   floors : int Atomic.t array;  (* per shard; max_int = idle *)
   gvt_ns : int Atomic.t;
-  stop : bool Atomic.t;
+  stop : bool Atomic.t;  (* quiescence, or poison after a shard failure *)
+  failure : exn option Atomic.t;  (* the first Shard_failure *)
 }
 
 type ('s, 'p) entry = {
@@ -157,6 +185,7 @@ type ('s, 'p) lp = {
 
 type stats = {
   mutable processed : int;
+  mutable messages : int;
   mutable rollbacks : int;
   mutable rolled_back : int;
   mutable stragglers : int;
@@ -178,7 +207,7 @@ type ('s, 'p) shard = {
   tombstones : (int, unit) Hashtbl.t;
       (* mids of pending positives annihilated by an anti that arrived
          first in processing order; Equeue has no removal, so the
-         positive is skipped at pop. Pair-FIFO rings guarantee the
+         positive is skipped at pop. Pair-FIFO transports guarantee the
          positive is already queued when its anti is handled. *)
   overflow : (int * 'p message) Queue.t;
       (* (pair index, message): unloaded from inbound rings while this
@@ -189,6 +218,8 @@ type ('s, 'p) shard = {
   wasted : (int, provenance * int ref) Hashtbl.t;
       (* root mid -> (root, processed entries undone on its account);
          mids are globally unique (striped), so the key alone suffices *)
+  mutable send : int -> 'p message -> unit;  (* transport to another shard *)
+  mutable lp_now : int;  (* LP of the last event begun, for failures *)
   mutable samples_rev : Monitor.shard_sample list;
   mutable since_sample : int;
   mutable next_mid : int;
@@ -208,51 +239,10 @@ let local_lp sh gid =
   | Some lp -> lp
   | None -> invalid_arg "Shard: message routed to non-local LP"
 
-(* Atomic min on a floor cell. Only this shard raises its own floor (in
-   publish_floor); concurrent writers only lower, so a CAS loop settles
-   fast. *)
-let lower_floor sh ts =
-  let cell = sh.fab.floors.(sh.id) in
-  let v = ns_of ts in
-  let rec go () =
-    let cur = Atomic.get cell in
-    if v < cur && not (Atomic.compare_and_set cell cur v) then go ()
-  in
-  go ()
-
-let publish_floor sh =
-  let v =
-    if Equeue.is_empty sh.pending then max_int else ns_of (Equeue.min_prio sh.pending)
-  in
-  Atomic.set sh.fab.floors.(sh.id) v
-
-(* Unload inbound rings without processing — safe to call while blocked
-   mid-push (even mid-event): no rollback can run under our feet. *)
-let unload_inboxes sh =
-  let fab = sh.fab in
-  for src = 0 to fab.shards - 1 do
-    if src <> sh.id then begin
-      let p = pair fab ~src ~dst:sh.id in
-      match Mailbox.pop fab.rings.(p) with
-      | Some m ->
-          lower_floor sh m.recv_ts;
-          Queue.add (p, m) sh.overflow
-      | None -> ()
-    end
-  done
-
-let remote_push sh ~dst_shard m =
-  let fab = sh.fab in
-  let p = pair fab ~src:sh.id ~dst:dst_shard in
-  (* sent is bumped BEFORE the ring push: while the message is in
-     flight the pair's counters differ, which vetoes any GVT round that
-     could otherwise miss it. *)
-  Atomic.incr fab.sent.(p);
-  Mailbox.push fab.rings.(p) m ~while_waiting:(fun () ->
-      (* every retry is one full-ring spin: the back-pressure signal the
-         monitor's Mailbox_backpressure diagnostic watches *)
-      sh.stats.full_spins <- sh.stats.full_spins + 1;
-      unload_inboxes sh)
+let failure sh exn =
+  match exn with
+  | Shard_failure _ -> exn
+  | _ -> Shard_failure { shard = sh.id; lp = sh.lp_now; exn }
 
 (* ---------------------------------------------------------------- *)
 (* Rollback (Jefferson): restore the oldest undone snapshot, requeue
@@ -318,8 +308,7 @@ and send_anti sh ~root m =
     }
   in
   let dst_shard = Context.owner ~shards:sh.fab.shards m.dst_lp in
-  if dst_shard = sh.id then handle_anti sh am
-  else remote_push sh ~dst_shard am
+  if dst_shard = sh.id then handle_anti sh am else sh.send dst_shard am
 
 and handle_anti sh am =
   let lp = local_lp sh am.dst_lp in
@@ -332,8 +321,8 @@ and handle_anti sh am =
           p_send_ts = am.root_send_ts }
       ~secondary:true
   else
-    (* FIFO per pair (ring or local synchronous call) means the positive
-       is already in pending: tombstone it for annihilation at pop. *)
+    (* FIFO per pair (transport or local synchronous call) means the
+       positive is already in pending: tombstone it for annihilation. *)
     Hashtbl.replace sh.tombstones am.mid ()
 
 (* Insert a positive message bound for a local LP, rolling back first if
@@ -355,44 +344,65 @@ let enqueue_local sh m =
   end;
   Equeue.push sh.pending ~priority:m.recv_ts m
 
-(* Drain the overflow queue then the inbound rings, processing each
-   message (straggler checks, annihilation). Only called from the loop
-   top — never mid-event — so rollbacks here are safe. *)
-let drain_inboxes sh =
+(* A message from another shard, through either transport. *)
+let receive sh m = if m.anti then handle_anti sh m else enqueue_local sh m
+
+(* ---------------------------------------------------------------- *)
+(* Per-shard observability samples.                                   *)
+
+(* Taken at every GVT advance AND every [sample_every] processed events
+   — the second cadence is what lets the monitor's Gvt_stall detector
+   see a shard burning events while GVT is frozen (a GVT-advance-only
+   tap would go silent exactly when it matters). Cumulative counters, so
+   cost is O(local LPs + shards) per sample, not per event. *)
+let sample_every = 2048
+
+let take_sample sh =
   let fab = sh.fab in
-  let handle p m =
-    lower_floor sh m.recv_ts;
-    if m.anti then handle_anti sh m else enqueue_local sh m;
-    (* recvd bumps AFTER the message is fully accounted (floor lowered,
-       inserted or annihilated): a stable GVT round implies every
-       counted arrival is visible in the floors. *)
-    Atomic.incr fab.recvd.(p)
+  let lvt =
+    Array.fold_left
+      (fun acc -> function Some lp -> Float.max acc lp.lvt | None -> acc)
+      neg_infinity sh.lps
   in
-  while not (Queue.is_empty sh.overflow) do
-    let p, m = Queue.pop sh.overflow in
-    handle p m
-  done;
-  for src = 0 to fab.shards - 1 do
-    if src <> sh.id then begin
-      let p = pair fab ~src ~dst:sh.id in
-      let rec go () =
-        match Mailbox.pop fab.rings.(p) with
-        | Some m ->
-            handle p m;
-            go ()
-        | None -> ()
-      in
-      go ()
-    end
-  done
+  let occ = ref 0 and peak = ref 0 in
+  if Array.length fab.rings > 0 then
+    for other = 0 to fab.shards - 1 do
+      if other <> sh.id then begin
+        occ := !occ + max 0 (Mailbox.length fab.rings.(pair fab ~src:other ~dst:sh.id));
+        let hw = Mailbox.high_water fab.rings.(pair fab ~src:sh.id ~dst:other) in
+        if hw > !peak then peak := hw
+      end
+    done;
+  let lvt = if lvt = neg_infinity then 0.0 else lvt in
+  let g_ns = Atomic.get fab.gvt_ns in
+  let s : Monitor.shard_sample =
+    {
+      sh_shard = sh.id;
+      (* max_int is the quiescence sentinel (all floors idle): by then
+         everything committed, so GVT has caught up to local time *)
+      sh_gvt = (if g_ns = max_int then lvt else float_of_int g_ns /. 1e9);
+      sh_lvt = lvt;
+      sh_events = sh.stats.processed;
+      sh_stragglers = sh.stats.rollbacks;
+      sh_rolled = sh.stats.rolled_back;
+      sh_rollback_depth = sh.stats.max_rollback;
+      sh_annihilations = sh.stats.annihilations;
+      sh_full_spins = sh.stats.full_spins;
+      sh_mailbox_occ = !occ;
+      sh_mailbox_peak = !peak;
+    }
+  in
+  sh.samples_rev <- s :: sh.samples_rev;
+  sh.since_sample <- 0
 
 (* ---------------------------------------------------------------- *)
 (* Event execution.                                                  *)
 
 let process sh m =
   let lp = local_lp sh m.dst_lp in
+  sh.lp_now <- lp.gid;
   let state_before = lp.st and lvt_before = lp.lvt in
-  let st', outputs = sh.spec.model.Timewarp.handle ~lp:lp.gid ~ts:m.recv_ts lp.st m.payload in
+  let st', outputs = sh.spec.model.handle ~lp:lp.gid ~ts:m.recv_ts lp.st m.payload in
   lp.st <- st';
   lp.lvt <- m.recv_ts;
   sh.stats.processed <- sh.stats.processed + 1;
@@ -417,64 +427,42 @@ let process sh m =
               root_send_ts = 0.0;
             }
           in
+          sh.stats.messages <- sh.stats.messages + 1;
           let dsh = Context.owner ~shards:sh.fab.shards dst in
           if dsh = sh.id then enqueue_local sh out
           else begin
             sh.stats.remote_sends <- sh.stats.remote_sends + 1;
-            remote_push sh ~dst_shard:dsh out
+            sh.send dsh out
           end;
           Some out
         end)
       outputs
   in
-  lp.done_ <- { e_msg = m; state_before; lvt_before; sent_msgs = sent } :: lp.done_
+  lp.done_ <- { e_msg = m; state_before; lvt_before; sent_msgs = sent } :: lp.done_;
+  sh.since_sample <- sh.since_sample + 1;
+  if sh.since_sample >= sample_every then take_sample sh
+
+let annihilate sh m =
+  Hashtbl.remove sh.tombstones m.mid;
+  sh.stats.annihilations <- sh.stats.annihilations + 1
+
+(* Execute the minimum pending message — or, if it is tombstoned, let it
+   meet its anti here. *)
+let step sh =
+  let m = Equeue.pop_min_exn sh.pending in
+  if Hashtbl.mem sh.tombstones m.mid then annihilate sh m else process sh m
 
 (* ---------------------------------------------------------------- *)
-(* Per-shard observability samples.                                   *)
+(* Fossil collection.                                                *)
 
-(* Taken at every GVT advance AND every [sample_every] processed events
-   — the second cadence is what lets the monitor's Gvt_stall detector
-   see a shard burning events while GVT is frozen (a GVT-advance-only
-   tap would go silent exactly when it matters). Cumulative counters, so
-   cost is O(local LPs + shards) per sample, not per event. *)
-let sample_every = 2048
-
-let take_sample sh =
-  let fab = sh.fab in
-  let lvt =
-    Array.fold_left
-      (fun acc -> function Some lp -> Float.max acc lp.lvt | None -> acc)
-      neg_infinity sh.lps
-  in
-  let occ = ref 0 and peak = ref 0 in
-  for other = 0 to fab.shards - 1 do
-    if other <> sh.id then begin
-      occ := !occ + max 0 (Mailbox.length fab.rings.(pair fab ~src:other ~dst:sh.id));
-      let hw = Mailbox.high_water fab.rings.(pair fab ~src:sh.id ~dst:other) in
-      if hw > !peak then peak := hw
-    end
-  done;
-  let lvt = if lvt = neg_infinity then 0.0 else lvt in
-  let g_ns = Atomic.get fab.gvt_ns in
-  let s : Monitor.shard_sample =
-    {
-      sh_shard = sh.id;
-      (* max_int is the quiescence sentinel (all floors idle): by then
-         everything committed, so GVT has caught up to local time *)
-      sh_gvt = (if g_ns = max_int then lvt else float_of_int g_ns /. 1e9);
-      sh_lvt = lvt;
-      sh_events = sh.stats.processed;
-      sh_stragglers = sh.stats.rollbacks;
-      sh_rolled = sh.stats.rolled_back;
-      sh_rollback_depth = sh.stats.max_rollback;
-      sh_annihilations = sh.stats.annihilations;
-      sh_full_spins = sh.stats.full_spins;
-      sh_mailbox_occ = !occ;
-      sh_mailbox_peak = !peak;
-    }
-  in
-  sh.samples_rev <- s :: sh.samples_rev;
-  sh.since_sample <- 0
+let commit_of sh e =
+  {
+    c_recv_ts = e.e_msg.recv_ts;
+    c_dst_lp = e.e_msg.dst_lp;
+    c_src_lp = e.e_msg.src_lp;
+    c_send_ts = e.e_msg.send_ts;
+    c_digest = sh.spec.digest e.e_msg.payload;
+  }
 
 (* Move entries below the GVT floor into the shard's commit list. *)
 let collect_fossils sh =
@@ -495,15 +483,7 @@ let collect_fossils sh =
               (fun e ->
                 incr committed;
                 if e.e_msg.recv_ts > !hi then hi := e.e_msg.recv_ts;
-                sh.commits <-
-                  {
-                    c_recv_ts = e.e_msg.recv_ts;
-                    c_dst_lp = e.e_msg.dst_lp;
-                    c_src_lp = e.e_msg.src_lp;
-                    c_send_ts = e.e_msg.send_ts;
-                    c_digest = sh.spec.digest e.e_msg.payload;
-                  }
-                  :: sh.commits)
+                sh.commits <- commit_of sh e :: sh.commits)
               fossil)
       sh.lps;
     if !committed > 0 && Recorder.enabled sh.recorder then begin
@@ -522,112 +502,49 @@ let commit_remaining sh =
     (function
       | None -> ()
       | Some lp ->
-          List.iter
-            (fun e ->
-              sh.commits <-
-                {
-                  c_recv_ts = e.e_msg.recv_ts;
-                  c_dst_lp = e.e_msg.dst_lp;
-                  c_src_lp = e.e_msg.src_lp;
-                  c_send_ts = e.e_msg.send_ts;
-                  c_digest = sh.spec.digest e.e_msg.payload;
-                }
-                :: sh.commits)
-            lp.done_;
+          List.iter (fun e -> sh.commits <- commit_of sh e :: sh.commits) lp.done_;
           lp.done_ <- [])
     sh.lps
 
 (* ---------------------------------------------------------------- *)
-(* GVT coordination (runs on shard 0's domain, folded into its loop). *)
+(* Construction and result.                                          *)
 
-let try_gvt fab stats =
-  let n = Array.length fab.sent in
-  let s1 = Array.init n (fun i -> Atomic.get fab.sent.(i)) in
-  let r1 = Array.init n (fun i -> Atomic.get fab.recvd.(i)) in
-  let floors = Array.init fab.shards (fun i -> Atomic.get fab.floors.(i)) in
-  let s2 = Array.init n (fun i -> Atomic.get fab.sent.(i)) in
-  let r2 = Array.init n (fun i -> Atomic.get fab.recvd.(i)) in
-  let stable = ref true in
-  for i = 0 to n - 1 do
-    if s1.(i) <> s2.(i) || r1.(i) <> r2.(i) || s1.(i) <> r1.(i) then
-      stable := false
-  done;
-  if not !stable then ()
-  else begin
-    stats.gvt_rounds <- stats.gvt_rounds + 1;
-    let gvt = Array.fold_left min max_int floors in
-    if gvt > Atomic.get fab.gvt_ns then Atomic.set fab.gvt_ns gvt;
-    if gvt = max_int then Atomic.set fab.stop true
-  end
+let dummy_msg spec =
+  {
+    mid = -1;
+    src_lp = -1;
+    dst_lp = -1;
+    send_ts = 0.0;
+    recv_ts = 0.0;
+    payload = spec.dummy;
+    anti = false;
+    root_shard = -1;
+    root_mid = -1;
+    root_send_ts = 0.0;
+  }
 
-(* ---------------------------------------------------------------- *)
-(* Per-domain main loop.                                             *)
+let make_fabric ~rings spec n =
+  let pairs = if rings then n * n else 0 in
+  {
+    shards = n;
+    rings =
+      Array.init pairs (fun _ -> Mailbox.create ~dummy:(dummy_msg spec) ());
+    sent = Array.init pairs (fun _ -> Atomic.make 0);
+    recvd = Array.init pairs (fun _ -> Atomic.make 0);
+    floors = Array.init n (fun _ -> Atomic.make 0);
+    gvt_ns = Atomic.make 0;
+    stop = Atomic.make false;
+    failure = Atomic.make None;
+  }
 
-let shard_loop sh =
-  let fab = sh.fab in
-  let coordinator = sh.id = 0 in
-  let since_gvt = ref 0 in
-  while not (Atomic.get fab.stop) do
-    drain_inboxes sh;
-    collect_fossils sh;
-    (* floor covers the message we are about to pop *)
-    publish_floor sh;
-    if Equeue.is_empty sh.pending then begin
-      if coordinator then try_gvt fab sh.stats else Domain.cpu_relax ()
-    end
-    else begin
-      let m = Equeue.pop_min_exn sh.pending in
-      if Hashtbl.mem sh.tombstones m.mid then begin
-        (* the tombstoned positive meets its anti: pair annihilated *)
-        Hashtbl.remove sh.tombstones m.mid;
-        sh.stats.annihilations <- sh.stats.annihilations + 1
-      end
-      else begin
-        process sh m;
-        sh.since_sample <- sh.since_sample + 1;
-        if sh.since_sample >= sample_every then take_sample sh
-      end;
-      if coordinator then begin
-        incr since_gvt;
-        if !since_gvt >= 32 then begin
-          since_gvt := 0;
-          try_gvt fab sh.stats
-        end
-      end
-    end
-  done;
-  commit_remaining sh
-
-(* ---------------------------------------------------------------- *)
-(* Run.                                                              *)
-
-let make_shard ~seed ~domains ~obs_shard spec fab id =
+let make_shard ?seed ?obs_shard spec fab id =
+  let shards = fab.shards in
   let obs = match obs_shard with None -> None | Some f -> f id in
-  let ctx = Context.make ~seed ?obs ~shards:domains ~shard_id:id () in
-  let dummy_msg =
-    {
-      mid = -1;
-      src_lp = -1;
-      dst_lp = -1;
-      send_ts = 0.0;
-      recv_ts = 0.0;
-      payload = spec.dummy;
-      anti = false;
-      root_shard = -1;
-      root_mid = -1;
-      root_send_ts = 0.0;
-    }
-  in
+  let ctx = Context.make ?seed ?obs ~shards ~shard_id:id () in
   let lps =
     Array.init spec.n_lps (fun gid ->
-        if Context.owner ~shards:domains gid = id then
-          Some
-            {
-              gid;
-              st = spec.model.Timewarp.init gid;
-              lvt = neg_infinity;
-              done_ = [];
-            }
+        if Context.owner ~shards gid = id then
+          Some { gid; st = spec.model.init gid; lvt = neg_infinity; done_ = [] }
         else None)
   in
   let sh =
@@ -637,12 +554,13 @@ let make_shard ~seed ~domains ~obs_shard spec fab id =
       spec;
       fab;
       lps;
-      pending = Equeue.create ~dummy:dummy_msg ();
+      pending = Equeue.create ~dummy:(dummy_msg spec) ();
       tombstones = Hashtbl.create 64;
       overflow = Queue.create ();
       stats =
         {
           processed = 0;
+          messages = 0;
           rollbacks = 0;
           rolled_back = 0;
           stragglers = 0;
@@ -655,6 +573,8 @@ let make_shard ~seed ~domains ~obs_shard spec fab id =
         };
       recorder = Engine.obs (Context.engine ctx);
       wasted = Hashtbl.create 32;
+      send = (fun _ _ -> ());
+      lp_now = -1;
       samples_rev = [];
       since_sample = 0;
       next_mid = 1;
@@ -662,65 +582,31 @@ let make_shard ~seed ~domains ~obs_shard spec fab id =
       commits = [];
     }
   in
-  (* seed injections for this shard's LPs; lvt = -inf so never stragglers *)
+  (* seed injections for this shard's LPs; lvt = -inf so never stragglers.
+     The horizon bounds outputs only, as in the sequential reference. *)
   List.iter
     (fun (dst, ts, p) ->
-      if Context.owner ~shards:domains dst = id && ts <= spec.horizon then
+      if Context.owner ~shards dst = id then begin
+        sh.stats.messages <- sh.stats.messages + 1;
         Equeue.push sh.pending ~priority:ts
           {
+            (dummy_msg spec) with
             mid = fresh_mid sh;
-            src_lp = -1;
             dst_lp = dst;
-            send_ts = 0.0;
             recv_ts = ts;
             payload = p;
-            anti = false;
-            root_shard = -1;
-            root_mid = -1;
-            root_send_ts = 0.0;
-          })
+          }
+      end)
     spec.seeds;
   sh
 
-let run ?(domains = 1) ?(seed = 42) ?obs_shard spec =
-  if domains <= 0 then invalid_arg "Shard.run: domains must be positive";
-  if domains > 64 then invalid_arg "Shard.run: more than 64 domains";
-  if spec.n_lps <= 0 then invalid_arg "Shard.run: n_lps must be positive";
-  let n = domains in
-  let dummy_msg =
-    {
-      mid = -1;
-      src_lp = -1;
-      dst_lp = -1;
-      send_ts = 0.0;
-      recv_ts = 0.0;
-      payload = spec.dummy;
-      anti = false;
-      root_shard = -1;
-      root_mid = -1;
-      root_send_ts = 0.0;
-    }
-  in
-  let fab =
-    {
-      shards = n;
-      rings =
-        Array.init (n * n) (fun _ -> Mailbox.create ~dummy:dummy_msg ());
-      sent = Array.init (n * n) (fun _ -> Atomic.make 0);
-      recvd = Array.init (n * n) (fun _ -> Atomic.make 0);
-      floors = Array.init n (fun _ -> Atomic.make 0);
-      gvt_ns = Atomic.make 0;
-      stop = Atomic.make false;
-    }
-  in
-  let shards = Array.init n (make_shard ~seed ~domains:n ~obs_shard spec fab) in
-  let others =
-    Array.to_list
-      (Array.init (n - 1) (fun i ->
-           Domain.spawn (fun () -> shard_loop shards.(i + 1))))
-  in
-  shard_loop shards.(0);
-  List.iter Domain.join others;
+(* Re-raise a shard failure, or assemble the result of a quiesced run.
+   Runs on the calling domain after every shard has stopped. *)
+let finish ~domains fab shards =
+  Option.iter raise (Atomic.get fab.failure);
+  let spec = shards.(0).spec in
+  let n = fab.shards in
+  Array.iter commit_remaining shards;
   let states =
     Array.init spec.n_lps (fun gid ->
         let owner = Context.owner ~shards:n gid in
@@ -768,13 +654,14 @@ let run ?(domains = 1) ?(seed = 42) ?obs_shard spec =
       | [] -> ());
       (* per-pair outbound high-water: src = this shard's label, dst in
          the family name *)
-      for dst = 0 to n - 1 do
-        if dst <> sh.id then
-          Metrics.set_gauge
-            (Metrics.gauge reg (Printf.sprintf "shard.mailbox_hw.to%d" dst))
-            (float_of_int
-               (Mailbox.high_water fab.rings.(pair fab ~src:sh.id ~dst)))
-      done)
+      if Array.length fab.rings > 0 then
+        for dst = 0 to n - 1 do
+          if dst <> sh.id then
+            Metrics.set_gauge
+              (Metrics.gauge reg (Printf.sprintf "shard.mailbox_hw.to%d" dst))
+              (float_of_int
+                 (Mailbox.high_water fab.rings.(pair fab ~src:sh.id ~dst)))
+        done)
     shards;
   let samples =
     List.sort
@@ -803,6 +690,7 @@ let run ?(domains = 1) ?(seed = 42) ?obs_shard spec =
     commits;
     processed = sum (fun s -> s.processed);
     committed = Array.length commits;
+    messages = sum (fun s -> s.messages);
     rollbacks = sum (fun s -> s.rollbacks);
     rolled_back = sum (fun s -> s.rolled_back);
     stragglers = sum (fun s -> s.stragglers);
@@ -813,11 +701,273 @@ let run ?(domains = 1) ?(seed = 42) ?obs_shard spec =
     max_rollback_depth =
       Array.fold_left (fun acc sh -> max acc sh.stats.max_rollback) 0 shards;
     gvt_rounds = sum (fun s -> s.gvt_rounds);
-    domains = n;
+    domains;
     engines = Array.map (fun sh -> Context.engine sh.ctx) shards;
     samples;
     wasted_by_root;
   }
+
+(* ---------------------------------------------------------------- *)
+(* Ring transport: one shard per OCaml domain.                       *)
+
+(* Atomic min on a floor cell. Only this shard raises its own floor (in
+   publish_floor); concurrent writers only lower, so a CAS loop settles
+   fast. *)
+let lower_floor sh ts =
+  let cell = sh.fab.floors.(sh.id) in
+  let v = ns_of ts in
+  let rec go () =
+    let cur = Atomic.get cell in
+    if v < cur && not (Atomic.compare_and_set cell cur v) then go ()
+  in
+  go ()
+
+let publish_floor sh =
+  let v =
+    if Equeue.is_empty sh.pending then max_int else ns_of (Equeue.min_prio sh.pending)
+  in
+  Atomic.set sh.fab.floors.(sh.id) v
+
+(* Unload inbound rings without processing — safe to call while blocked
+   mid-push (even mid-event): no rollback can run under our feet. *)
+let unload_inboxes sh =
+  let fab = sh.fab in
+  for src = 0 to fab.shards - 1 do
+    if src <> sh.id then begin
+      let p = pair fab ~src ~dst:sh.id in
+      match Mailbox.pop fab.rings.(p) with
+      | Some m ->
+          lower_floor sh m.recv_ts;
+          Queue.add (p, m) sh.overflow
+      | None -> ()
+    end
+  done
+
+let remote_push sh dst_shard m =
+  let fab = sh.fab in
+  let p = pair fab ~src:sh.id ~dst:dst_shard in
+  (* sent is bumped BEFORE the ring push: while the message is in
+     flight the pair's counters differ, which vetoes any GVT round that
+     could otherwise miss it. *)
+  Atomic.incr fab.sent.(p);
+  Mailbox.push fab.rings.(p) m ~poison:fab.stop ~while_waiting:(fun () ->
+      (* every retry is one full-ring spin: the back-pressure signal the
+         monitor's Mailbox_backpressure diagnostic watches *)
+      sh.stats.full_spins <- sh.stats.full_spins + 1;
+      unload_inboxes sh)
+
+(* Drain the overflow queue then the inbound rings, processing each
+   message (straggler checks, annihilation). Only called from the loop
+   top — never mid-event — so rollbacks here are safe. *)
+let drain_inboxes sh =
+  let fab = sh.fab in
+  let handle p m =
+    lower_floor sh m.recv_ts;
+    receive sh m;
+    (* recvd bumps AFTER the message is fully accounted (floor lowered,
+       inserted or annihilated): a stable GVT round implies every
+       counted arrival is visible in the floors. *)
+    Atomic.incr fab.recvd.(p)
+  in
+  while not (Queue.is_empty sh.overflow) do
+    let p, m = Queue.pop sh.overflow in
+    handle p m
+  done;
+  for src = 0 to fab.shards - 1 do
+    if src <> sh.id then begin
+      let p = pair fab ~src ~dst:sh.id in
+      let rec go () =
+        match Mailbox.pop fab.rings.(p) with
+        | Some m ->
+            handle p m;
+            go ()
+        | None -> ()
+      in
+      go ()
+    end
+  done
+
+(* GVT coordination (runs on shard 0's domain, folded into its loop). *)
+let try_gvt fab stats =
+  let n = Array.length fab.sent in
+  let s1 = Array.init n (fun i -> Atomic.get fab.sent.(i)) in
+  let r1 = Array.init n (fun i -> Atomic.get fab.recvd.(i)) in
+  let floors = Array.init fab.shards (fun i -> Atomic.get fab.floors.(i)) in
+  let s2 = Array.init n (fun i -> Atomic.get fab.sent.(i)) in
+  let r2 = Array.init n (fun i -> Atomic.get fab.recvd.(i)) in
+  let stable = ref true in
+  for i = 0 to n - 1 do
+    if s1.(i) <> s2.(i) || r1.(i) <> r2.(i) || s1.(i) <> r1.(i) then
+      stable := false
+  done;
+  if not !stable then ()
+  else begin
+    stats.gvt_rounds <- stats.gvt_rounds + 1;
+    let gvt = Array.fold_left min max_int floors in
+    if gvt > Atomic.get fab.gvt_ns then Atomic.set fab.gvt_ns gvt;
+    if gvt = max_int then Atomic.set fab.stop true
+  end
+
+(* Per-domain main loop. A raise anywhere in it poisons the fabric: the
+   first failure is recorded and every other shard stops. *)
+let shard_loop sh =
+  let fab = sh.fab in
+  let coordinator = sh.id = 0 in
+  let since_gvt = ref 0 in
+  try
+    while not (Atomic.get fab.stop) do
+      drain_inboxes sh;
+      collect_fossils sh;
+      (* floor covers the message we are about to pop *)
+      publish_floor sh;
+      if Equeue.is_empty sh.pending then begin
+        if coordinator then try_gvt fab sh.stats else Domain.cpu_relax ()
+      end
+      else begin
+        step sh;
+        if coordinator then begin
+          incr since_gvt;
+          if !since_gvt >= 32 then begin
+            since_gvt := 0;
+            try_gvt fab sh.stats
+          end
+        end
+      end
+    done
+  with
+  | Mailbox.Closed -> () (* blocked on a ring after another shard failed *)
+  | exn ->
+      ignore (Atomic.compare_and_set fab.failure None (Some (failure sh exn)));
+      Atomic.set fab.stop true
+
+let run ?(domains = 1) ?(seed = 42) ?obs_shard spec =
+  if domains <= 0 then invalid_arg "Shard.run: domains must be positive";
+  if domains > 64 then invalid_arg "Shard.run: more than 64 domains";
+  if spec.n_lps <= 0 then invalid_arg "Shard.run: n_lps must be positive";
+  let fab = make_fabric ~rings:true spec domains in
+  let shards = Array.init domains (make_shard ~seed ?obs_shard spec fab) in
+  Array.iter (fun sh -> sh.send <- remote_push sh) shards;
+  let others =
+    Array.init (domains - 1) (fun i ->
+        Domain.spawn (fun () -> shard_loop shards.(i + 1)))
+  in
+  shard_loop shards.(0);
+  Array.iter Domain.join others;
+  finish ~domains fab shards
+
+(* ---------------------------------------------------------------- *)
+(* Wire transport: one shard per LP, hosts on a simulation engine.   *)
+
+let simulate ~engine ~latency ~event_cost ~gvt_interval spec =
+  if spec.n_lps <= 0 then invalid_arg "Shard.simulate: n_lps must be positive";
+  let n = spec.n_lps in
+  let fab = make_fabric ~rings:false spec n in
+  let shards = Array.init n (make_shard spec fab) in
+  let rng = Rng.split (Engine.rng engine) in
+  let last_arrival = Array.make (n * n) 0.0 in  (* per directed pair: FIFO *)
+  let in_flight = Hashtbl.create 64 in  (* signed mid -> recv_ts *)
+  let key m = if m.anti then -m.mid - 1 else m.mid in
+  (* Host state: the receive time of the event being executed (infinity
+     when idle) and a generation that cancels a preempted execution. *)
+  let busy = Array.make n infinity and gen = Array.make n 0 in
+  let rec kick sh =
+    if busy.(sh.id) = infinity then begin
+      let rec drop () =
+        match Equeue.peek sh.pending with
+        | Some (_, m) when Hashtbl.mem sh.tombstones m.mid ->
+            ignore (Equeue.pop_min_exn sh.pending);
+            annihilate sh m;
+            drop ()
+        | _ -> ()
+      in
+      drop ();
+      if not (Equeue.is_empty sh.pending) then begin
+        busy.(sh.id) <- Equeue.min_prio sh.pending;
+        let g = gen.(sh.id) in
+        ignore
+          (Engine.schedule engine ~delay:event_cost (fun _ ->
+               if gen.(sh.id) = g then begin
+                 busy.(sh.id) <- infinity;
+                 (try step sh with exn -> raise (failure sh exn));
+                 kick sh
+               end)
+            : Engine.handle)
+      end
+    end
+  in
+  let arrive sh m =
+    Hashtbl.remove in_flight (key m);
+    (* An arrival below the busy event undercuts it; an anti at or below
+       it may cancel it or roll back under it. Either way, restart. *)
+    if m.recv_ts < busy.(sh.id) || (m.anti && m.recv_ts <= busy.(sh.id)) then begin
+      gen.(sh.id) <- gen.(sh.id) + 1;
+      busy.(sh.id) <- infinity
+    end;
+    receive sh m;
+    kick sh
+  in
+  Array.iter
+    (fun src ->
+      src.send <-
+        (fun dst m ->
+          let p = (src.id * n) + dst in
+          let at =
+            Float.max last_arrival.(p)
+              (Engine.now engine +. Latency.sample latency rng)
+          in
+          last_arrival.(p) <- at;
+          Hashtbl.replace in_flight (key m) m.recv_ts;
+          ignore
+            (Engine.schedule_at engine ~at (fun _ -> arrive shards.(dst) m)
+              : Engine.handle)))
+    shards;
+  Array.iter kick shards;
+  let rec loop () =
+    match Engine.run ~until:(Engine.now engine +. gvt_interval) engine with
+    | Engine.Time_limit ->
+        let gvt =
+          Array.fold_left
+            (fun acc sh ->
+              if Equeue.is_empty sh.pending then acc
+              else Float.min acc (Equeue.min_prio sh.pending))
+            (Hashtbl.fold (fun _ ts acc -> Float.min ts acc) in_flight infinity)
+            shards
+        in
+        shards.(0).stats.gvt_rounds <- shards.(0).stats.gvt_rounds + 1;
+        Atomic.set fab.gvt_ns (max (Atomic.get fab.gvt_ns) (ns_of gvt));
+        Array.iter collect_fossils shards;
+        loop ()
+    | Engine.Quiescent -> ()
+    | r ->
+        failwith
+          (Format.asprintf "Shard.simulate: engine stopped: %a"
+             Engine.pp_stop_reason r)
+  in
+  loop ();
+  finish ~domains:1 fab shards
+
+(* ---------------------------------------------------------------- *)
+(* Sequential reference: one queue, no speculation.                  *)
+
+let sequential spec =
+  let states = Array.init spec.n_lps spec.model.init in
+  let queue = Equeue.create ~dummy:(-1, spec.dummy) () in
+  List.iter (fun (dst, ts, p) -> Equeue.push queue ~priority:ts (dst, p)) spec.seeds;
+  let events = ref 0 in
+  while not (Equeue.is_empty queue) do
+    let ts = Equeue.min_prio queue in
+    let dst, p = Equeue.pop_min_exn queue in
+    incr events;
+    let st', outputs = spec.model.handle ~lp:dst ~ts states.(dst) p in
+    states.(dst) <- st';
+    List.iter
+      (fun (dst', ts', p') ->
+        if ts' <= ts then
+          invalid_arg "Shard.sequential: output timestamp must exceed input";
+        if ts' <= spec.horizon then Equeue.push queue ~priority:ts' (dst', p'))
+      outputs
+  done;
+  (states, !events)
 
 (* ---------------------------------------------------------------- *)
 (* Deterministic merged trace.                                       *)

@@ -19,7 +19,7 @@ let is_empty q = q.size = 0
 let next_seq q = q.next_seq
 
 (* [before q i j]: does the entry at slot [i] pop before the one at [j]?
-   Same total order as Heap: priority, then insertion sequence. *)
+   Same total order as the seed's heap: priority, then insertion sequence. *)
 let before q i j =
   q.prios.(i) < q.prios.(j) || (q.prios.(i) = q.prios.(j) && q.seqs.(i) < q.seqs.(j))
 

@@ -2,12 +2,13 @@
 
     Entries are ordered by a [float] priority (the virtual timestamp) with
     a monotonically increasing sequence number as tie-breaker, exactly the
-    (priority, seq) total order of {!Heap} — so the pop order of the two
-    structures is identical on identical pushes, which is what keeps the
-    replacement determinism-preserving (and what the QCheck oracle in
-    [test_sim.ml] checks).
+    (priority, seq) total order of the seed's binary heap (kept beside
+    the tests) — so the pop order of the two structures is identical on
+    identical pushes, which is what keeps the replacement
+    determinism-preserving (and what the QCheck oracle in [test_sim.ml]
+    checks).
 
-    Unlike {!Heap}, entries are not boxed: priorities live in a flat
+    Unlike that heap, entries are not boxed: priorities live in a flat
     [float array], sequence numbers in an [int array], and payloads in a
     parallel value array. Popping does no allocation ({!min_prio} +
     {!pop_min_exn}), the 4-ary layout halves the sift depth versus a

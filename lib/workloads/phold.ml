@@ -5,7 +5,7 @@ module Runtime = Hope_core.Runtime
 module Invariant = Hope_core.Invariant
 module Engine = Hope_sim.Engine
 module Metrics = Hope_sim.Metrics
-module Timewarp = Hope_timewarp.Timewarp
+module Shard = Hope_shard.Shard
 open Program.Syntax
 
 type params = {
@@ -33,7 +33,7 @@ type lp_state = { handled : int; checksum : int }
 
 let model p =
   {
-    Timewarp.init = (fun _ -> { handled = 0; checksum = 0 });
+    Shard.init = (fun _ -> { handled = 0; checksum = 0 });
     handle =
       (fun ~lp ~ts st (job : Job.t) ->
         let st' =
@@ -64,67 +64,13 @@ type outcome = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Sequential reference                                                *)
-(* ------------------------------------------------------------------ *)
-
-let run_sequential p =
-  let r =
-    Timewarp.Sequential.run (model p) ~n_lps:p.n_lps ~horizon:p.horizon
-      ~seeds:(seeds p)
-  in
-  {
-    checksums = Array.map (fun s -> s.checksum) r.Timewarp.Sequential.states;
-    handled_total = Array.fold_left (fun acc s -> acc + s.handled) 0 r.states;
-    processed = r.events;
-    rollbacks = 0;
-    messages = r.events;
-    physical_time = 0.0;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Time Warp                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let run_timewarp ?(seed = 42) ?obs p =
-  let engine = Engine.create ~seed ?obs () in
-  let cfg =
-    {
-      Timewarp.n_lps = p.n_lps;
-      physical_latency = p.latency;
-      event_cost = p.event_cost;
-      gvt_interval = 10e-3;
-      horizon = p.horizon;
-    }
-  in
-  let tw = Timewarp.create ~engine cfg (model p) in
-  List.iter (fun (dst, ts, job) -> Timewarp.inject tw ~dst ~ts job) (seeds p);
-  (match Timewarp.run tw with
-  | Hope_sim.Engine.Quiescent -> ()
-  | reason ->
-    failwith
-      (Format.asprintf "phold/timewarp did not quiesce: %a"
-         Hope_sim.Engine.pp_stop_reason reason));
-  let st = Timewarp.stats tw in
-  {
-    checksums =
-      Array.init p.n_lps (fun i -> (Timewarp.state_of tw i).checksum);
-    handled_total =
-      Array.init p.n_lps (fun i -> (Timewarp.state_of tw i).handled)
-      |> Array.fold_left ( + ) 0;
-    processed = st.Timewarp.processed;
-    rollbacks = st.rollbacks;
-    messages = st.messages;
-    physical_time = st.physical_time;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Sharded Time Warp across OCaml 5 domains                            *)
+(* Time Warp: the sequential reference and the two transports          *)
 (* ------------------------------------------------------------------ *)
 
 let shard_spec ?(grain = 0) p =
   let base = model p in
   let handle =
-    if grain <= 0 then base.Timewarp.handle
+    if grain <= 0 then base.Shard.handle
     else fun ~lp ~ts st job ->
       (* Deterministic synthetic event weight: phold's real handler is a
          few dozen ns, far below cross-domain traffic costs, so scaling
@@ -135,10 +81,10 @@ let shard_spec ?(grain = 0) p =
         x := ((!x * 1103515245) + 12345) land 0x3FFFFFFF
       done;
       ignore (Sys.opaque_identity !x);
-      base.Timewarp.handle ~lp ~ts st job
+      base.Shard.handle ~lp ~ts st job
   in
   {
-    Hope_shard.Shard.model = { base with Timewarp.handle };
+    Shard.model = { base with Shard.handle };
     n_lps = p.n_lps;
     horizon = p.horizon;
     seeds = seeds p;
@@ -147,18 +93,39 @@ let shard_spec ?(grain = 0) p =
     dummy = { Job.job_id = -1; hop = -1 };
   }
 
-let run_parallel ?(domains = 1) ?(seed = 42) ?grain ?obs_shard p =
-  let r = Hope_shard.Shard.run ~domains ~seed ?obs_shard (shard_spec ?grain p) in
+let run_sequential p =
+  let states, events = Shard.sequential (shard_spec p) in
+  {
+    checksums = Array.map (fun s -> s.checksum) states;
+    handled_total = Array.fold_left (fun acc s -> acc + s.handled) 0 states;
+    processed = events;
+    rollbacks = 0;
+    messages = events;
+    physical_time = 0.0;
+  }
+
+let outcome_of ~physical_time (r : lp_state Shard.result) =
   ( {
-      checksums = Array.map (fun (s : lp_state) -> s.checksum) r.Hope_shard.Shard.states;
-      handled_total =
-        Array.fold_left (fun acc (s : lp_state) -> acc + s.handled) 0 r.states;
+      checksums = Array.map (fun s -> s.checksum) r.states;
+      handled_total = Array.fold_left (fun acc s -> acc + s.handled) 0 r.states;
       processed = r.processed;
       rollbacks = r.rollbacks;
-      messages = r.committed;
-      physical_time = 0.0;
+      messages = r.messages;
+      physical_time;
     },
     r )
+
+let run_timewarp ?(seed = 42) p =
+  let engine = Engine.create ~seed () in
+  let r =
+    Shard.simulate ~engine ~latency:p.latency ~event_cost:p.event_cost
+      ~gvt_interval:10e-3 (shard_spec p)
+  in
+  outcome_of ~physical_time:(Engine.now engine) r
+
+let run_parallel ?(domains = 1) ?(seed = 42) ?grain ?obs_shard p =
+  outcome_of ~physical_time:0.0
+    (Shard.run ~domains ~seed ?obs_shard (shard_spec ?grain p))
 
 (* ------------------------------------------------------------------ *)
 (* HOPE-expressed optimistic simulation                                *)

@@ -25,7 +25,7 @@ val default_params : params
 
 type lp_state = { handled : int; checksum : int }
 
-val model : params -> (lp_state, Job.t) Hope_timewarp.Timewarp.model
+val model : params -> (lp_state, Job.t) Hope_shard.Shard.model
 
 val seeds : params -> (int * float * Job.t) list
 (** Initial events, one per job. *)
@@ -40,16 +40,23 @@ type outcome = {
 }
 
 val run_sequential : params -> outcome
-(** The conservative reference execution (zero-cost oracle: [processed],
-    [messages] count model events; [physical_time] is 0). *)
-
-val run_timewarp : ?seed:int -> ?obs:Hope_obs.Recorder.t -> params -> outcome
+(** The conservative reference execution ({!Hope_shard.Shard.sequential};
+    zero-cost oracle: [processed], [messages] count model events;
+    [physical_time] is 0). *)
 
 val shard_spec : ?grain:int -> params -> (lp_state, Job.t) Hope_shard.Shard.spec
-(** The PHOLD model packaged for the sharded executor. [grain] (default
+(** The PHOLD model packaged for the Time Warp core. [grain] (default
     0) adds that many iterations of deterministic integer mixing per
     event — synthetic CPU weight for parallel scaling runs; it does not
     change the trajectory. *)
+
+val run_timewarp : ?seed:int -> params -> outcome * lp_state Hope_shard.Shard.result
+(** Run PHOLD on the Time Warp core's simulated wire
+    ({!Hope_shard.Shard.simulate}): each LP its own host, [latency] per
+    message, [event_cost] per event, GVT every 10 ms of simulated time.
+    [physical_time] is the simulated completion time. Commits exactly
+    the sequential event set, so the paired result's commit records
+    equal {!run_parallel}'s. *)
 
 val run_parallel :
   ?domains:int ->
@@ -58,11 +65,13 @@ val run_parallel :
   ?obs_shard:(int -> Hope_obs.Recorder.t option) ->
   params ->
   outcome * lp_state Hope_shard.Shard.result
-(** Run PHOLD on the sharded Time Warp executor ({!Hope_shard.Shard}).
-    Commits exactly the sequential event set at any [domains] —
-    [checksums] must equal {!run_sequential}'s, [messages] counts
-    committed events, and the paired raw result carries the sorted
-    commit records for the deterministic merged trace. *)
+(** Run PHOLD on the Time Warp core's ring transport across OCaml 5
+    domains ({!Hope_shard.Shard.run}). Commits exactly the sequential
+    event set at any [domains] — [checksums] must equal
+    {!run_sequential}'s — and the paired raw result carries the sorted
+    commit records for the deterministic merged trace. [messages]
+    counts positive event messages sent, as for {!run_timewarp};
+    [physical_time] is 0. *)
 
 val run_hope :
   ?seed:int ->

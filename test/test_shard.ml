@@ -59,10 +59,11 @@ let test_mailbox_cross_domain () =
      ring far smaller than the stream so back-pressure engages. *)
   let n = 20_000 in
   let m = Mailbox.create ~capacity:64 ~dummy:(-1) () in
+  let poison = Atomic.make false in
   let producer =
     Domain.spawn (fun () ->
         for i = 0 to n - 1 do
-          Mailbox.push m i ~while_waiting:Domain.cpu_relax
+          Mailbox.push m i ~poison ~while_waiting:Domain.cpu_relax
         done)
   in
   let received = ref 0 and in_order = ref true in
@@ -76,6 +77,28 @@ let test_mailbox_cross_domain () =
   Domain.join producer;
   Alcotest.(check bool) "sequence preserved across domains" true !in_order;
   Alcotest.(check bool) "empty after drain" true (Mailbox.is_empty m)
+
+let test_mailbox_poisoned_push () =
+  (* A producer spinning on a full ring whose consumer died must get
+     out once the poison flag is set. *)
+  let m = Mailbox.create ~capacity:1 ~dummy:(-1) () in
+  Alcotest.(check bool) "fill" true (Mailbox.try_push m 0);
+  let poison = Atomic.make false in
+  let spins = Atomic.make 0 in
+  let producer =
+    Domain.spawn (fun () ->
+        match
+          Mailbox.push m 1 ~poison ~while_waiting:(fun () -> Atomic.incr spins)
+        with
+        | () -> false
+        | exception Mailbox.Closed -> true)
+  in
+  while Atomic.get spins = 0 do
+    Domain.cpu_relax ()
+  done;
+  Atomic.set poison true;
+  Alcotest.(check bool) "blocked push raised Closed" true (Domain.join producer);
+  Alcotest.(check (option int)) "ring kept its element" (Some 0) (Mailbox.pop m)
 
 (* ----------------------------- Context ---------------------------- *)
 
@@ -150,21 +173,25 @@ let small_params =
   { Phold.default_params with n_lps = 5; jobs = 12; horizon = 6.0 }
 
 let test_shard_matches_sequential () =
-  let seq = Phold.run_sequential small_params in
+  (* The second parameter set seeds several jobs past the horizon. *)
   List.iter
-    (fun domains ->
-      let o, r = Phold.run_parallel ~domains small_params in
-      Alcotest.(check (array int))
-        (Printf.sprintf "checksums at %d domains" domains)
-        seq.Phold.checksums o.Phold.checksums;
-      Alcotest.(check int)
-        (Printf.sprintf "committed events at %d domains" domains)
-        seq.Phold.handled_total o.Phold.handled_total;
-      Alcotest.(check int)
-        "commit records = committed events" o.Phold.handled_total
-        r.Shard.committed;
-      Alcotest.(check int) "domains recorded" domains r.Shard.domains)
-    [ 1; 2; 4 ]
+    (fun p ->
+      let seq = Phold.run_sequential p in
+      List.iter
+        (fun domains ->
+          let o, r = Phold.run_parallel ~domains p in
+          Alcotest.(check (array int))
+            (Printf.sprintf "checksums at %d domains" domains)
+            seq.Phold.checksums o.Phold.checksums;
+          Alcotest.(check int)
+            (Printf.sprintf "committed events at %d domains" domains)
+            seq.Phold.handled_total o.Phold.handled_total;
+          Alcotest.(check int)
+            "commit records = committed events" o.Phold.handled_total
+            r.Shard.committed;
+          Alcotest.(check int) "domains recorded" domains r.Shard.domains)
+        [ 1; 2; 4 ])
+    [ small_params; { small_params with jobs = 64; horizon = 2.0 } ]
 
 let test_shard_digest_stable_across_domains () =
   let digest domains =
@@ -312,7 +339,7 @@ let qcheck_shard_deterministic =
   QCheck.Test.make
     ~name:
       "shard: random phold commits the sequential event set with an \
-       identical merge at 2 and 4 domains"
+       identical merge on the wire and at 1, 2 and 4 domains"
     ~count:12
     QCheck.(
       quad (int_range 1 6) (int_range 1 10) (int_range 0 100) small_int)
@@ -329,24 +356,100 @@ let qcheck_shard_deterministic =
       let seq = Phold.run_sequential p in
       let runs =
         List.map
-          (fun domains ->
+          (fun run ->
             let obs = Recorder.create () in
             Recorder.enable obs;
-            let o, r = Phold.run_parallel ~domains ~seed p in
+            let o, r = run () in
             Shard.merge_into obs r;
             (o, r, Obs.export_string Obs.Chrome (Recorder.events obs)))
-          [ 1; 2; 4 ]
+          [
+            (fun () -> Phold.run_timewarp ~seed p);
+            (fun () -> Phold.run_parallel ~domains:1 ~seed p);
+            (fun () -> Phold.run_parallel ~domains:2 ~seed p);
+            (fun () -> Phold.run_parallel ~domains:4 ~seed p);
+          ]
       in
       match runs with
-      | [ (o1, r1, t1); (o2, r2, t2); (o4, r4, t4) ] ->
-        o1.Phold.checksums = seq.Phold.checksums
-        && o2.Phold.checksums = seq.Phold.checksums
-        && o4.Phold.checksums = seq.Phold.checksums
-        && o1.Phold.handled_total = seq.Phold.handled_total
-        && Shard.commits_digest r1 = Shard.commits_digest r2
-        && Shard.commits_digest r1 = Shard.commits_digest r4
-        && t1 = t2 && t1 = t4
-      | _ -> false)
+      | (ow, rw, tw) :: rest ->
+        ow.Phold.handled_total = seq.Phold.handled_total
+        && List.for_all
+             (fun (o, r, t) ->
+               o.Phold.checksums = seq.Phold.checksums
+               && ow.Phold.checksums = seq.Phold.checksums
+               && Shard.commits_digest r = Shard.commits_digest rw
+               && t = tw)
+             rest
+      | [] -> false)
+
+(* ---------------------- failure containment ----------------------- *)
+
+(* PHOLD whose model raises on every event of [bad_lp]. *)
+let raising_spec ~bad_lp =
+  let base = Phold.shard_spec small_params in
+  let handle ~lp ~ts st job =
+    if lp = bad_lp then failwith "boom" else base.Shard.model.Shard.handle ~lp ~ts st job
+  in
+  { base with Shard.model = { base.Shard.model with Shard.handle } }
+
+let check_failure ~domains ~bad_lp spec =
+  match Shard.run ~domains spec with
+  | _ -> Alcotest.failf "no failure at %d domains" domains
+  | exception Shard.Shard_failure { shard; lp; exn } ->
+    let what = Printf.sprintf "LP %d at %d domains" bad_lp domains in
+    Alcotest.(check int) ("shard of " ^ what) (Context.owner ~shards:domains bad_lp) shard;
+    Alcotest.(check int) ("lp of " ^ what) bad_lp lp;
+    Alcotest.(check bool) ("original exception of " ^ what) true (exn = Failure "boom")
+
+let test_failure_typed () =
+  List.iter
+    (fun domains ->
+      List.iter
+        (fun bad_lp -> check_failure ~domains ~bad_lp (raising_spec ~bad_lp))
+        [ 0; 1 ])
+    [ 1; 2; 4 ]
+
+let test_failure_joins_domains () =
+  (* OCaml caps live domains at 128: a run that leaked its 3 workers on
+     failure would exhaust the cap well before 48 runs. *)
+  for i = 1 to 48 do
+    let bad_lp = i mod 2 in
+    check_failure ~domains:4 ~bad_lp (raising_spec ~bad_lp)
+  done
+
+let test_failure_unblocks_producer () =
+  (* LP 0 answers its seed with a burst far larger than a ring; LP 1
+     takes long enough over its first event for the ring into its shard
+     to fill, then raises. Shard 0 is left spinning on a full ring whose
+     consumer is gone. *)
+  let spec =
+    {
+      Shard.model =
+        {
+          Shard.init = (fun _ -> ());
+          handle =
+            (fun ~lp ~ts () n ->
+              if lp = 1 then begin
+                Unix.sleepf 0.05;
+                failwith "boom"
+              end
+              else ((), List.init n (fun i -> (1, ts +. 1. +. float_of_int i, 0))));
+        };
+      n_lps = 2;
+      horizon = 1e9;
+      seeds = [ (0, 0.5, 20_000); (1, 0.1, 0) ];
+      digest = Fun.id;
+      dummy = -1;
+    }
+  in
+  List.iter (fun domains -> check_failure ~domains ~bad_lp:1 spec) [ 1; 2; 4 ]
+
+let test_failure_on_the_wire () =
+  match
+    Shard.simulate ~engine:(Engine.create ()) ~latency:Hope_net.Latency.lan
+      ~event_cost:1e-6 ~gvt_interval:1e-3 (raising_spec ~bad_lp:3)
+  with
+  | _ -> Alcotest.fail "no failure on the wire"
+  | exception Shard.Shard_failure { shard = 3; lp = 3; exn = Failure _ } -> ()
 
 (* --------------------- Scheduler shard transport ------------------- *)
 
@@ -407,6 +510,7 @@ let () =
           test "FIFO across wraparound, full/empty edges"
             test_mailbox_fifo_wraparound;
           test "cross-domain SPSC under back-pressure" test_mailbox_cross_domain;
+          test "poison releases a blocked producer" test_mailbox_poisoned_push;
         ] );
       ( "context",
         [ test "owner map and per-shard rng streams" test_context_owner_and_streams ] );
@@ -431,6 +535,16 @@ let () =
           test "labeled export deterministic at 1 domain"
             test_labeled_export_deterministic;
           QCheck_alcotest.to_alcotest qcheck_attribution_sums;
+        ] );
+      ( "failure",
+        [
+          test "a raising LP on shard 0 or 1 is a typed error at 1/2/4 domains"
+            test_failure_typed;
+          test "failed runs join every domain" test_failure_joins_domains;
+          test "a producer blocked on a dead consumer's ring gets out"
+            test_failure_unblocks_producer;
+          test "a raising LP on the simulated wire is a typed error"
+            test_failure_on_the_wire;
         ] );
       ( "transport",
         [

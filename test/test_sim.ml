@@ -2,7 +2,6 @@
    trace, vec, and the event engine. *)
 
 module Rng = Hope_sim.Rng
-module Heap = Hope_sim.Heap
 module Equeue = Hope_sim.Equeue
 module Metrics = Hope_sim.Metrics
 module Trace = Hope_sim.Trace

@@ -1,9 +1,9 @@
-(* Tests for the Time Warp baseline: correctness against the sequential
-   reference across seeds and parameters, plus targeted straggler and
-   anti-message scenarios. *)
+(* Tests for Time Warp on the core's simulated wire (experiment E7's
+   engine): correctness against the sequential reference across seeds
+   and parameters, plus targeted straggler and anti-message scenarios. *)
 
 module Engine = Hope_sim.Engine
-module Timewarp = Hope_timewarp.Timewarp
+module Shard = Hope_shard.Shard
 module Latency = Hope_net.Latency
 module Phold = Hope_workloads.Phold
 
@@ -13,90 +13,67 @@ let test name f = Alcotest.test_case name `Quick f
    timestamps it processed, in order. *)
 type probe = { count : int; stamps : float list }
 
-let probe_model ~n_lps ~hop =
+let probe_spec ?(horizon = 1e9) ~n_lps ~next seeds =
   {
-    Timewarp.init = (fun _ -> { count = 0; stamps = [] });
-    handle =
-      (fun ~lp ~ts st n ->
-        let st' = { count = st.count + 1; stamps = ts :: st.stamps } in
-        if n <= 0 then (st', [])
-        else (st', [ ((lp + 1) mod n_lps, ts +. hop, n - 1) ]));
+    Shard.model =
+      {
+        Shard.init = (fun _ -> { count = 0; stamps = [] });
+        handle =
+          (fun ~lp ~ts st n ->
+            ({ count = st.count + 1; stamps = ts :: st.stamps }, next ~lp ~ts n));
+      };
+    n_lps;
+    horizon;
+    seeds;
+    digest = Fun.id;
+    dummy = -1;
   }
 
-let run_probe ?(latency = Latency.lan) ~n_lps ~hop ~seeds () =
+(* [n] more hops round the ring of LPs, [hop] virtual seconds apart. *)
+let chain ~n_lps ~hop ~lp ~ts n =
+  if n <= 0 then [] else [ ((lp + 1) mod n_lps, ts +. hop, n - 1) ]
+
+let simulate ?(latency = Latency.lan) ?(event_cost = 10e-6) spec =
   let engine = Engine.create ~seed:5 () in
-  let cfg =
-    {
-      Timewarp.n_lps;
-      physical_latency = latency;
-      event_cost = 10e-6;
-      gvt_interval = 1e-3;
-      horizon = 1e9;
-    }
-  in
-  let tw = Timewarp.create ~engine cfg (probe_model ~n_lps ~hop) in
-  List.iter (fun (dst, ts, n) -> Timewarp.inject tw ~dst ~ts n) seeds;
-  Alcotest.(check bool) "quiesced" true (Timewarp.run tw = Engine.Quiescent);
-  tw
+  Shard.simulate ~engine ~latency ~event_cost ~gvt_interval:1e-3 spec
 
 let test_single_chain_in_order () =
-  let tw = run_probe ~n_lps:3 ~hop:1.0 ~seeds:[ (0, 1.0, 8) ] () in
+  let r =
+    simulate (probe_spec ~n_lps:3 ~next:(chain ~n_lps:3 ~hop:1.0) [ (0, 1.0, 8) ])
+  in
   (* 9 events total, one per LP per visit, timestamps 1..9. *)
-  let st = Timewarp.stats tw in
-  Alcotest.(check int) "committed all" 9 st.Timewarp.committed;
+  Alcotest.(check int) "committed all" 9 r.Shard.committed;
   let all_stamps =
-    List.concat_map
-      (fun i -> List.rev (Timewarp.state_of tw i).stamps)
-      [ 0; 1; 2 ]
+    List.concat_map (fun i -> List.rev r.Shard.states.(i).stamps) [ 0; 1; 2 ]
   in
   Alcotest.(check int) "9 stamps" 9 (List.length all_stamps);
   List.iter
     (fun i ->
-      let st = Timewarp.state_of tw i in
-      let increasing =
-        let rec check = function
-          | a :: (b :: _ as rest) -> a > b && check rest
-          | _ -> true
-        in
-        check st.stamps
+      let rec decreasing = function
+        | a :: (b :: _ as rest) -> a > b && decreasing rest
+        | _ -> true
       in
-      Alcotest.(check bool) "per-LP timestamps strictly increase" true increasing)
+      Alcotest.(check bool) "per-LP timestamps strictly increase" true
+        (decreasing r.Shard.states.(i).stamps))
     [ 0; 1; 2 ]
 
 let test_straggler_forced () =
-  (* Two seeds to the same LP: a fast one at ts=10 and, arriving much
-     later physically (slow link), one at ts=1 — a guaranteed straggler
-     once LP 0 has raced ahead. *)
-  let engine = Engine.create ~seed:6 () in
-  let cfg =
-    {
-      Timewarp.n_lps = 2;
-      physical_latency = Latency.Constant 1e-3;
-      event_cost = 1e-6;
-      gvt_interval = 1e-3;
-      horizon = 1e9;
-    }
+  (* LP 0 executes its seed at ts=10 after 1 µs and sends downstream;
+     LP 1's seed at ts=0.5 sends LP 0 an event at ts=1, which crosses a
+     1 ms wire — a guaranteed straggler once LP 0 has raced ahead. *)
+  let spec =
+    probe_spec ~n_lps:2 ~next:(chain ~n_lps:2 ~hop:0.5)
+      [ (0, 10.0, 3); (1, 0.5, 1) ]
   in
-  let model =
-    {
-      Timewarp.init = (fun _ -> { count = 0; stamps = [] });
-      handle =
-        (fun ~lp:_ ~ts st n ->
-          ({ count = st.count + 1; stamps = ts :: st.stamps },
-           if n > 0 then [ (1, ts +. 0.5, n - 1) ] else []));
-    }
-  in
-  let tw = Timewarp.create ~engine cfg model in
-  Timewarp.inject tw ~dst:0 ~ts:10.0 3;
-  (* Let LP 0 process ts=10 and send downstream work first. *)
-  ignore (Engine.run ~until:0.01 engine);
-  Timewarp.inject tw ~dst:0 ~ts:1.0 0;
-  Alcotest.(check bool) "quiesced" true (Timewarp.run tw = Engine.Quiescent);
-  let st = Timewarp.stats tw in
-  Alcotest.(check bool) "a rollback happened" true (st.Timewarp.rollbacks >= 1);
-  let lp0 = Timewarp.state_of tw 0 in
+  let r = simulate ~latency:(Latency.Constant 1e-3) ~event_cost:1e-6 spec in
+  Alcotest.(check bool) "a rollback happened" true (r.Shard.rollbacks >= 1);
+  Alcotest.(check bool) "an anti-message went out" true (r.Shard.anti_messages >= 1);
+  let states, events = Shard.sequential spec in
+  Alcotest.(check int) "committed the sequential event set" events r.Shard.committed;
   Alcotest.(check (list (float 1e-9))) "LP0 processed in timestamp order"
-    [ 1.0; 10.0 ] (List.rev lp0.stamps)
+    [ 1.0; 10.0; 11.0 ] (List.rev r.Shard.states.(0).stamps);
+  Alcotest.(check (list (float 1e-9))) "LP1 as in the sequential run"
+    (List.rev states.(1).stamps) (List.rev r.Shard.states.(1).stamps)
 
 let test_phold_matches_sequential_many_seeds () =
   List.iter
@@ -107,7 +84,7 @@ let test_phold_matches_sequential_many_seeds () =
             { Phold.default_params with remote_prob; jobs = 6; horizon = 8.0 }
           in
           let seq = Phold.run_sequential p in
-          let tw = Phold.run_timewarp ~seed p in
+          let tw, _ = Phold.run_timewarp ~seed p in
           Alcotest.(check bool)
             (Printf.sprintf "checksums agree (seed=%d remote=%.1f)" seed remote_prob)
             true
@@ -132,32 +109,40 @@ let test_phold_hope_matches_sequential () =
     [ 1; 2; 3 ]
 
 let test_output_timestamp_validation () =
-  let engine = Engine.create ~seed:8 () in
-  let bad_model =
-    {
-      Timewarp.init = (fun _ -> ());
-      handle = (fun ~lp:_ ~ts st () -> (st, [ (0, ts, ()) ]));
-    }
+  let bad =
+    probe_spec ~n_lps:1 ~next:(fun ~lp:_ ~ts _ -> [ (0, ts, 0) ]) [ (0, 1.0, 0) ]
   in
-  let tw = Timewarp.create ~engine Timewarp.default_config bad_model in
-  Timewarp.inject tw ~dst:0 ~ts:1.0 ();
-  Alcotest.(check bool) "zero-delay output rejected" true
+  let rejected f =
+    match f () with
+    | _ -> false
+    | exception Shard.Shard_failure { exn = Invalid_argument _; lp = 0; _ } -> true
+  in
+  Alcotest.(check bool) "zero-delay output rejected on the wire" true
+    (rejected (fun () -> simulate bad));
+  Alcotest.(check bool) "zero-delay output rejected on the rings" true
+    (rejected (fun () -> Shard.run bad));
+  Alcotest.(check bool) "and by the sequential reference" true
     (try
-       ignore (Timewarp.run tw);
+       ignore (Shard.sequential bad);
        false
      with Invalid_argument _ -> true)
 
 let test_sequential_reference () =
-  let model = probe_model ~n_lps:2 ~hop:1.0 in
-  let r = Timewarp.Sequential.run model ~n_lps:2 ~horizon:100.0 ~seeds:[ (0, 1.0, 4) ] in
-  Alcotest.(check int) "five events" 5 r.Timewarp.Sequential.events;
-  Alcotest.(check int) "lp0 handled 3" 3 r.states.(0).count;
-  Alcotest.(check int) "lp1 handled 2" 2 r.states.(1).count
+  let states, events =
+    Shard.sequential
+      (probe_spec ~n_lps:2 ~next:(chain ~n_lps:2 ~hop:1.0) [ (0, 1.0, 4) ])
+  in
+  Alcotest.(check int) "five events" 5 events;
+  Alcotest.(check int) "lp0 handled 3" 3 states.(0).count;
+  Alcotest.(check int) "lp1 handled 2" 2 states.(1).count
 
 let test_horizon_cuts_outputs () =
-  let model = probe_model ~n_lps:2 ~hop:1.0 in
-  let r = Timewarp.Sequential.run model ~n_lps:2 ~horizon:3.0 ~seeds:[ (0, 1.0, 100) ] in
-  Alcotest.(check int) "only events within the horizon" 3 r.Timewarp.Sequential.events
+  let spec =
+    probe_spec ~horizon:3.0 ~n_lps:2 ~next:(chain ~n_lps:2 ~hop:1.0) [ (0, 1.0, 100) ]
+  in
+  let _, events = Shard.sequential spec in
+  Alcotest.(check int) "only events within the horizon" 3 events;
+  Alcotest.(check int) "Time Warp commits the same" 3 (simulate spec).Shard.committed
 
 let () =
   Alcotest.run "timewarp"
